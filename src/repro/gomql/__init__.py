@@ -23,7 +23,9 @@ predicates over materialized function results are answered from the GMR's
 result index (after the Sec. 6 cover test for restricted GMRs), *forward*
 invocations of materialized functions are mapped to GMR probes by the
 operation dispatch itself, and equality predicates over indexed
-attributes use the attribute index.
+attributes use the attribute index.  A range variable answered by a plan
+never builds its type's extension, and statement texts are parsed once
+(a bounded LRU), so a planned query costs O(answer).
 """
 
 from repro.gomql.parser import parse_statement

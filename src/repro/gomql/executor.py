@@ -70,7 +70,7 @@ _CMP = {
 
 
 def run_statement(db, text: str, params: dict[str, Any] | None = None) -> Any:
-    """Parse and execute one GOMql statement."""
+    """Parse (cached by text) and execute one GOMql statement."""
     return execute(db, parse_statement(text), params)
 
 
@@ -228,15 +228,18 @@ def _domain(db, decl: RangeDecl, env: dict[str, Any]) -> tuple[list[Handle], str
 def _execute_query(db, query: Query, env: dict[str, Any]) -> Any:
     domains: list[tuple[RangeDecl, list[Handle]]] = []
     for index, decl in enumerate(query.ranges):
-        candidates, element_type = _domain(db, decl, env)
-        stash_range_type(env, decl.var, element_type)
+        candidates = None
         if index == 0 and db.schema.has_type(decl.type_name):
-            # Plan the outermost variable; conjuncts referencing inner
-            # (still unbound) variables are ignored by the planner and
-            # re-checked by the residual predicate evaluation.
-            planned = _plan_candidates(db, decl, element_type, query.where, env)
-            if planned is not None:
-                candidates = planned
+            # Plan the outermost variable before touching its extension:
+            # a planned access path costs O(answer), a scan O(extension).
+            # Conjuncts referencing inner (still unbound) variables are
+            # ignored by the planner and re-checked by the residual
+            # predicate evaluation.
+            stash_range_type(env, decl.var, decl.type_name)
+            candidates = _plan_candidates(db, decl, decl.type_name, query.where, env)
+        if candidates is None:
+            candidates, element_type = _domain(db, decl, env)
+            stash_range_type(env, decl.var, element_type)
         domains.append((decl, candidates))
 
     aggregates = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import ParseError
 from repro.gomql.ast import (
     AGGREGATES,
@@ -26,8 +28,20 @@ from repro.gomql.ast import (
 from repro.gomql.lexer import Token, tokenize
 
 
+#: Statements whose parse is kept (least recently used evicted first).
+#: Applications re-run a handful of statement texts with different
+#: parameters, so a small bound holds the whole working set.
+PARSE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_statement(text: str) -> Query | MaterializeStmt:
-    """Parse one GOMql statement (``retrieve`` query or ``materialize``)."""
+    """Parse one GOMql statement (``retrieve`` query or ``materialize``).
+
+    The same text returns the same AST object: ASTs are frozen
+    dataclasses over tuples, so callers share them.  A text that fails
+    to parse is not cached and raises on every call.
+    """
     return _Parser(tokenize(text)).statement()
 
 

@@ -119,6 +119,13 @@ class GMRStore:
         self._rows: dict[tuple, GMRRow] = {}
         self._invalid: list[set[tuple]] = [set() for _ in range(fct_count)]
         self._errors: list[set[tuple]] = [set() for _ in range(fct_count)]
+        #: Per column, the args of *partial* entries: valid for that
+        #: function but without an MDS point (another column invalid, or
+        #: a non-scalar result).  Every mutator that changes validity or
+        #: a result rechecks the entry (a new entry is valid nowhere, so
+        #: creation needs no update), so a backward query never scans the
+        #: extension for them; a dict keeps their order deterministic.
+        self._partial: list[dict[tuple, None]] = [{} for _ in range(fct_count)]
         if storage == "auto":
             storage = (
                 "mds" if arg_count + fct_count <= MDS_DIMENSION_LIMIT else "columns"
@@ -190,6 +197,25 @@ class GMRStore:
             if point is not None:
                 self._mds.insert(point, row.args)
 
+    def _sync_partial(self, args: tuple, valid: list, results: Iterable) -> None:
+        """Recheck ``args``'s membership in every column's partial set.
+
+        MDS mode only: the per-column B+ trees index partial rows too.
+        """
+        if all(valid) and all(map(_is_scalar, results)):
+            for partial in self._partial:
+                partial.pop(args, None)
+            return
+        for flag, partial in zip(valid, self._partial):
+            if flag:
+                partial[args] = None
+            else:
+                partial.pop(args, None)
+
+    def _sync_partial_row(self, row: GMRRow) -> None:
+        if self._mds is not None:
+            self._sync_partial(row.args, row.valid, row.results)
+
     # -- row lifecycle --------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -239,6 +265,8 @@ class GMRStore:
                         break
                 self._invalid[fct_index].discard(args)
                 self._errors[fct_index].discard(args)
+            for partial in self._partial:
+                partial.pop(args, None)
             if self._pages is not None and row.placement.page_id >= 0:
                 self._pages.remove(row.placement)
             return True
@@ -267,6 +295,7 @@ class GMRStore:
                 row.error[fct_index] = False
                 self._errors[fct_index].discard(args)
             self._index_insert(row, fct_index)
+            self._sync_partial_row(row)
             self._touch_row(row, write=True)
             return row
 
@@ -282,6 +311,7 @@ class GMRStore:
             if row.support:
                 row.support.pop(fct_index, None)
             self._invalid[fct_index].add(args)
+            self._sync_partial_row(row)
             self._touch_row(row, write=True)
             return True
 
@@ -311,6 +341,7 @@ class GMRStore:
                 changed = True
             if row.support:
                 row.support.pop(fct_index, None)
+            self._sync_partial_row(row)
             self._touch_row(row, write=True)
             return changed
 
@@ -441,8 +472,8 @@ class GMRStore:
                 if row is not None and row.valid[fct_index]:
                     yield value, args
             # Rows not fully valid are not in the MDS; surface the valid
-            # results for *this* function among them by a residual scan.
-            for args in self._partial_rows(fct_index):
+            # results for *this* function among them from the partial set.
+            for args in list(self._partial[fct_index]):
                 row = self._rows[args]
                 value = row.results[fct_index]
                 if not _in_range(
@@ -456,14 +487,6 @@ class GMRStore:
         yield from index.range_scan(
             low, high, include_low=include_low, include_high=include_high
         )
-
-    def _partial_rows(self, fct_index: int) -> list[tuple]:
-        """Args of rows valid for ``fct_index`` but absent from the MDS."""
-        result = []
-        for args, row in self._rows.items():
-            if row.valid[fct_index] and self._mds_point(row) is None:
-                result.append(args)
-        return result
 
 
 #: Columnar key cells hold one interned id per argument (a machine word).
@@ -629,6 +652,14 @@ class ColumnarGMRStore(GMRStore):
             if point is not None:
                 self._mds.insert(point, args)
 
+    def _sync_partial_slot(self, slot: int) -> None:
+        if self._mds is not None:
+            self._sync_partial(
+                self._slot_args[slot],
+                [col[slot] for col in self._valid_col],
+                [col[slot] for col in self._res],
+            )
+
     # -- row lifecycle --------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -706,6 +737,8 @@ class ColumnarGMRStore(GMRStore):
                         break
                 self._invalid[fct_index].discard(args)
                 self._errors[fct_index].discard(args)
+            for partial in self._partial:
+                partial.pop(args, None)
             if self._pages is not None:
                 if self._key_place[slot].page_id >= 0:
                     self._pages.remove(self._key_place[slot])
@@ -743,6 +776,7 @@ class ColumnarGMRStore(GMRStore):
                 self._err_col[fct_index][slot] = 0
                 self._errors[fct_index].discard(args)
             self._index_insert_slot(slot, fct_index)
+            self._sync_partial_slot(slot)
             self._touch_cell(slot, fct_index, write=True)
             return self._view(args, slot)
 
@@ -760,6 +794,7 @@ class ColumnarGMRStore(GMRStore):
         if support:
             support.pop(fct_index, None)
         self._invalid[fct_index].add(args)
+        self._sync_partial_slot(slot)
         self._touch_cell(slot, fct_index, write=True)
         return True
 
@@ -781,6 +816,7 @@ class ColumnarGMRStore(GMRStore):
             support = self._supports[slot]
             if support:
                 support.pop(fct_index, None)
+            self._sync_partial_slot(slot)
             self._touch_cell(slot, fct_index, write=True)
             return changed
 
@@ -895,7 +931,7 @@ class ColumnarGMRStore(GMRStore):
                 slot = self._slots.get(args)
                 if slot is not None and valid[slot]:
                     yield value, args
-            for args in self._partial_rows(fct_index):
+            for args in list(self._partial[fct_index]):
                 slot = self._slots[args]
                 value = self._res[fct_index][slot]
                 if not _in_range(
@@ -909,14 +945,6 @@ class ColumnarGMRStore(GMRStore):
         yield from index.range_scan(
             low, high, include_low=include_low, include_high=include_high
         )
-
-    def _partial_rows(self, fct_index: int) -> list[tuple]:
-        valid = self._valid_col[fct_index]
-        result = []
-        for args, slot in self._slots.items():
-            if valid[slot] and self._mds_point_of(slot) is None:
-                result.append(args)
-        return result
 
 
 def _in_range(

@@ -22,6 +22,11 @@ from repro.observe.config import MaterializationConfig
 from repro.persistence import base_state, verify_recovery
 from repro.storage.gmr_store import ColumnarGMRStore, GMRStore
 from repro.util.rng import DeterministicRng
+from tests.storage.test_gmr_store import (
+    assert_backward_scans_no_entries,
+    assert_partial_set_tracked,
+    random_store_ops,
+)
 
 LAYOUTS = ("rows", "columnar")
 
@@ -279,3 +284,80 @@ class TestRecoveryDifferential:
             )
             digests[layout] = base_state(recovered)
         assert digests["columnar"] == digests["rows"]
+
+
+# ---------------------------------------------------------------------------
+# The tracked partial-row set, both layouts
+# ---------------------------------------------------------------------------
+
+
+class TestPartialRowSet:
+    """The columnar twin of ``test_gmr_store.TestPartialRowSet``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("fct_count", [1, 2, 3])
+    def test_tracked_set_matches_full_scan(self, seed, fct_count):
+        store = ColumnarGMRStore("p", arg_count=1, fct_count=fct_count, storage="mds")
+        random_store_ops(store, seed)
+
+    def test_backward_scans_no_slots(self):
+        store = ColumnarGMRStore("p", arg_count=1, fct_count=2, storage="mds")
+        assert_backward_scans_no_entries(store, "_slots")
+
+
+def _build_partial_base(db: ObjectBase) -> None:
+    """The geometry schema plus ``corner``, a non-scalar (object) result."""
+    from repro.domains.geometry import build_geometry_schema
+
+    build_geometry_schema(db)
+    db.define_operation("Cuboid", "corner", [], "Vertex", lambda self: self.V1)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_partial_rows_survive_checkpoint_and_recover(layout):
+    from repro.core.strategies import Strategy
+    from repro.domains.geometry import create_cuboid, create_material, create_vertex
+
+    db = ObjectBase(config=_layout_config(layout))
+    _build_partial_base(db)
+    iron = create_material(db, "iron", 0.78)
+    gold = create_material(db, "gold", 1.93)
+    cuboids = [
+        create_cuboid(
+            db,
+            origin=(float(i), 0.0, 0.0),
+            dims=(1.0 + i % 3, 2.0, 1.0),
+            material=iron if i % 2 else gold,
+            value=float(i),
+            cuboid_id=i,
+        )
+        for i in range(12)
+    ]
+    # Lazy, so invalidated columns stay invalid: a volume with an invalid
+    # weight beside it is partial.  ``corner`` results are never scalar,
+    # so every valid entry of that GMR is partial.
+    scalar = db.materialize(
+        [("Cuboid", "volume"), ("Cuboid", "weight")], strategy=Strategy.LAZY
+    )
+    mixed = db.materialize(
+        [("Cuboid", "height"), ("Cuboid", "corner")], strategy=Strategy.LAZY
+    )
+    iron.set_SpecWeight(0.8)
+    factor = create_vertex(db, 1.0, 1.0, 1.5)
+    cuboids[0].scale(factor)
+    assert scalar.store._partial[0] and mixed.store._partial[1]
+    for gmr in (scalar, mixed):
+        assert_partial_set_tracked(gmr.store)
+
+    def mutate(live):
+        gold.set_SpecWeight(2.0)
+        cuboids[3].scale(factor)
+        live.delete(cuboids[5])
+
+    recovered = verify_recovery(db, _build_partial_base, mutate=mutate)
+    by_name = {gmr.name: gmr for gmr in recovered.gmr_manager.gmrs()}
+    for gmr in (scalar, mixed):
+        twin = by_name[gmr.name].store
+        assert twin.layout == layout
+        assert_partial_set_tracked(twin)
+        assert [set(p) for p in twin._partial] == [set(p) for p in gmr.store._partial]

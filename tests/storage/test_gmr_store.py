@@ -1,8 +1,10 @@
 """Unit tests for the GMR physical store (both MDS and column modes)."""
 
+import random
+
 import pytest
 
-from repro.storage.gmr_store import GMRStore, MDS_DIMENSION_LIMIT
+from repro.storage.gmr_store import GMRStore, MDS_DIMENSION_LIMIT, in_range
 
 
 @pytest.fixture(params=["mds", "columns"])
@@ -136,3 +138,136 @@ class TestStorageSelection:
         assert store.get(("o1",)).results[0] == ("complex", "value")
         # Non-scalar results are simply absent from range queries.
         assert list(store.backward(0, None, None)) == []
+
+
+# ---------------------------------------------------------------------------
+# The tracked partial-row set (MDS mode)
+# ---------------------------------------------------------------------------
+
+
+def _brute_partial(store, fct_index):
+    """Args valid for ``fct_index`` but without an MDS point, by full scan."""
+    partial = set()
+    for row in store.rows():
+        in_mds = all(row.valid) and all(
+            isinstance(r, (int, float, str, bool)) for r in row.results
+        )
+        if row.valid[fct_index] and not in_mds:
+            partial.add(row.args)
+    return partial
+
+
+def _brute_backward(store, fct_index, low, high, include_low, include_high):
+    """``backward()`` by full scan: every valid scalar result in range."""
+    return sorted(
+        (row.results[fct_index], row.args)
+        for row in store.rows()
+        if row.valid[fct_index]
+        and in_range(
+            row.results[fct_index],
+            low,
+            high,
+            include_low=include_low,
+            include_high=include_high,
+        )
+    )
+
+
+def _bounds(store, fct_index):
+    """Range bounds on stored values, so the exclusive edges hit results."""
+    values = sorted(
+        {
+            row.results[fct_index]
+            for row in store.rows()
+            if isinstance(row.results[fct_index], (int, float))
+        }
+    )
+    bounds = [(None, None), (2.0, 5.0)]
+    if values:
+        low, high = values[len(values) // 4], values[(3 * len(values)) // 4]
+        bounds += [(low, high), (None, low), (high, None), (low, low)]
+    return bounds
+
+
+def assert_partial_set_tracked(store):
+    """The incremental partial set and ``backward()`` match a full scan."""
+    for fct_index in range(store.fct_count):
+        assert set(store._partial[fct_index]) == _brute_partial(store, fct_index)
+        for low, high in _bounds(store, fct_index):
+            for include_low in (True, False):
+                for include_high in (True, False):
+                    got = sorted(
+                        store.backward(
+                            fct_index,
+                            low,
+                            high,
+                            include_low=include_low,
+                            include_high=include_high,
+                        )
+                    )
+                    assert got == _brute_backward(
+                        store, fct_index, low, high, include_low, include_high
+                    )
+
+
+def random_store_ops(store, seed, steps=150):
+    """Drive ``store`` through a seeded mix of every mutator."""
+    rng = random.Random(seed)
+    keys = [(f"o{i}",) for i in range(8)]
+    for _ in range(steps):
+        args = rng.choice(keys)
+        fct_index = rng.randrange(store.fct_count)
+        op = rng.choice(
+            ("ensure", "set", "set", "set", "invalid", "error", "remove")
+        )
+        if op == "ensure":
+            store.ensure_row(args)
+        elif op == "set":
+            # Integral values so range bounds hit results exactly; one in
+            # five results is non-scalar (never indexed).
+            value = (
+                ("complex", rng.randrange(3))
+                if rng.random() < 0.2
+                else float(rng.randrange(7))
+            )
+            store.set_result(args, fct_index, value)
+        elif op == "invalid":
+            store.mark_invalid(args, fct_index)
+        elif op == "error":
+            store.mark_error(args, fct_index)
+        else:
+            store.remove_row(args)
+        assert_partial_set_tracked(store)
+
+
+class TestPartialRowSet:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("fct_count", [1, 2, 3])
+    def test_tracked_set_matches_full_scan(self, seed, fct_count):
+        store = GMRStore("p", arg_count=1, fct_count=fct_count, storage="mds")
+        random_store_ops(store, seed)
+
+    def test_backward_scans_no_rows(self):
+        store = GMRStore("p", arg_count=1, fct_count=2, storage="mds")
+        assert_backward_scans_no_entries(store, "_rows")
+
+
+class _NoScan(dict):
+    """An entry table that allows point lookups but fails any scan."""
+
+    def _scan(self, *args):
+        pytest.fail("backward() scanned the whole entry table")
+
+    __iter__ = items = keys = values = _scan
+
+
+def assert_backward_scans_no_entries(store, table):
+    """Partial entries are answered without a scan of ``store.<table>``."""
+    for index in range(50):
+        store.set_result((f"o{index}",), 0, float(index))
+        store.set_result((f"o{index}",), 1, float(index))
+    store.mark_invalid(("o7",), 1)  # o7 is now partial for column 0
+    store.set_result(("o6",), 1, ("complex", 1))  # o6 too
+    setattr(store, table, _NoScan(getattr(store, table)))
+    hits = sorted(value for value, _ in store.backward(0, 5.0, 8.0))
+    assert hits == [5.0, 6.0, 7.0, 8.0]
